@@ -4,26 +4,20 @@
 //! Times how many (pulse + idle-gap) hammer cycles per second each
 //! [`BackendKind`] sustains, prints a comparison and records it in
 //! `BENCH_backends.json` at the workspace root. Every row records the
-//! *effective* worker-thread count and SIMD tier the engine reports —
+//! *effective* worker-thread count and lane-kernel ISA the engine reports —
 //! [`HammerBackend::worker_threads`] / [`HammerBackend::simd_isa`] — not
-//! whatever was requested. Three acceptance gates are asserted at the end
-//! so a regression fails `cargo bench`:
+//! whatever was requested. Two acceptance gates are asserted at the end so
+//! a regression fails `cargo bench`:
 //!
 //! - the struct-of-arrays batched engine must beat the scalar pulse engine
-//!   by ≥3× on 64×64 (the batched-backend refactor's gate),
+//!   by ≥3× on 64×64 (the batched-backend refactor's gate), and
 //! - on 256×256 the threaded batched engine must beat the single-threaded
 //!   one by ≥3× — *skipped with a printed notice on machines with fewer
-//!   than four cores*, where the speedup is physically unobtainable, and
-//! - on AVX2 hardware (with the `simd` feature compiled in) the bit-exact
-//!   SIMD tier must beat the scalar chunk loop by ≥2× on 256×256 —
-//!   *skipped with a printed notice when no vector ISA is detected*, where
-//!   the kernel falls back to the identical scalar loop.
+//!   than four cores*, where the speedup is physically unobtainable.
 //!
-//! The `batched_256` row is measured with the SIMD kill switch engaged
-//! (`simd::force_scalar`), so it is the chunked scalar baseline on every
-//! build; `batched_simd_256` and `batched_fast_256` time the bit-exact and
-//! fast-math SIMD tiers against it. The JSON records whatever the machine
-//! honestly measured either way.
+//! `batched_fast_256` times the opt-in fast-math tier next to the exact
+//! `batched_256` row. The JSON records whatever the machine honestly
+//! measured either way.
 //!
 //! The MNA-backed detailed engine is timed on a 16×16 array instead (its
 //! per-sub-step circuit solve makes 64×64 transients take hours — that
@@ -38,13 +32,12 @@ use std::time::Instant;
 use criterion::{black_box, BatchSize, Criterion};
 use neurohammer::campaign::json::Json;
 use rram_crossbar::{BackendKind, CellAddress, CrosstalkHub, EngineConfig, HammerBackend};
-use rram_jart::simd::{self, SimdLevel};
 use rram_jart::{DeviceParams, DigitalState};
 use rram_units::{Seconds, Volts};
 
 const ROWS: usize = 64;
 const COLS: usize = 64;
-/// Production-sized array edge for the threaded/SIMD/surrogate comparison.
+/// Production-sized array edge for the threaded/fast-math/surrogate comparison.
 const LARGE_EDGE: usize = 256;
 /// Megabit-scale array edge (the arrays the neurohammer setting targets).
 const HUGE_EDGE: usize = 1024;
@@ -85,7 +78,7 @@ struct Measurement {
     build_seconds: f64,
     /// Effective lane-integration worker threads, from the engine.
     threads: usize,
-    /// SIMD tier the lane kernel dispatched to, from the engine.
+    /// Lane-kernel instruction set, from the engine.
     simd_isa: &'static str,
 }
 
@@ -127,21 +120,6 @@ fn measure(
     }
 }
 
-/// [`measure`] with the SIMD kill switch engaged: the chunked *scalar*
-/// baseline, identical on every build and CPU.
-fn measure_forced_scalar(
-    kind: BackendKind,
-    rows: usize,
-    cols: usize,
-    threads: usize,
-    pulses: usize,
-) -> Measurement {
-    simd::force_scalar(true);
-    let measurement = measure(kind, rows, cols, threads, false, pulses);
-    simd::force_scalar(false);
-    measurement
-}
-
 fn main() {
     // Criterion-style per-burst timings (one warm-up + two samples each).
     let mut criterion = Criterion::default();
@@ -166,7 +144,6 @@ fn main() {
     // 8 — the lane blocks stop amortising dispatch beyond that).
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = cores.min(8);
-    let detected = simd::detected();
     let pulse = measure(BackendKind::Pulse, ROWS, COLS, 1, false, 3);
     let batched = measure(BackendKind::Batched, ROWS, COLS, 1, false, 60);
     let detailed = measure(
@@ -179,10 +156,9 @@ fn main() {
     );
     let speedup = batched.pps / pulse.pps;
 
-    // 256×256: the scalar chunk loop, the bit-exact SIMD tier, the opt-in
-    // fast-math tier, the threaded path and the surrogate.
-    let large_scalar = measure_forced_scalar(BackendKind::Batched, LARGE_EDGE, LARGE_EDGE, 1, 8);
-    let large_simd = measure(BackendKind::Batched, LARGE_EDGE, LARGE_EDGE, 1, false, 8);
+    // 256×256: the exact lane kernel, the opt-in fast-math tier, the
+    // threaded path and the surrogate.
+    let large_batched = measure(BackendKind::Batched, LARGE_EDGE, LARGE_EDGE, 1, false, 8);
     let large_fast = measure(BackendKind::Batched, LARGE_EDGE, LARGE_EDGE, 1, true, 8);
     let large_threaded = measure(
         BackendKind::Batched,
@@ -193,9 +169,7 @@ fn main() {
         8,
     );
     let large_surrogate = measure(BackendKind::Surrogate, LARGE_EDGE, LARGE_EDGE, 1, false, 8);
-    let simd_speedup = large_simd.pps / large_scalar.pps;
-    let fast_speedup = large_fast.pps / large_simd.pps;
-    let threaded_speedup = large_threaded.pps / large_simd.pps;
+    let threaded_speedup = large_threaded.pps / large_batched.pps;
 
     let huge_threaded = measure(
         BackendKind::Batched,
@@ -225,15 +199,9 @@ fn main() {
     );
     println!(
         "  {:>16}: {:10.2} pulses/s on {LARGE_EDGE}x{LARGE_EDGE} ({})",
-        "batched scalar",
-        large_scalar.pps,
-        describe(&large_scalar)
-    );
-    println!(
-        "  {:>16}: {:10.2} pulses/s on {LARGE_EDGE}x{LARGE_EDGE} ({})",
-        "batched simd",
-        large_simd.pps,
-        describe(&large_simd)
+        "batched",
+        large_batched.pps,
+        describe(&large_batched)
     );
     println!(
         "  {:>16}: {:10.2} pulses/s on {LARGE_EDGE}x{LARGE_EDGE} ({})",
@@ -264,12 +232,6 @@ fn main() {
     );
     println!("  batched/pulse speedup on {ROWS}x{COLS}: {speedup:.1}x");
     println!(
-        "  simd/scalar speedup on {LARGE_EDGE}x{LARGE_EDGE}: {simd_speedup:.2}x \
-         (detected {})",
-        detected.label()
-    );
-    println!("  fast-math/simd speedup on {LARGE_EDGE}x{LARGE_EDGE}: {fast_speedup:.2}x");
-    println!(
         "  threaded/batched speedup on {LARGE_EDGE}x{LARGE_EDGE}: {threaded_speedup:.2}x \
          ({threads} threads on {cores} core(s))"
     );
@@ -289,10 +251,6 @@ fn main() {
         ("gap_ns".into(), Json::Number(PULSE.0 * 1e9)),
         ("machine_cores".into(), Json::Number(cores as f64)),
         (
-            "simd_detected".into(),
-            Json::String(detected.label().into()),
-        ),
-        (
             "backends".into(),
             Json::Object(vec![
                 (
@@ -309,11 +267,7 @@ fn main() {
                 ),
                 (
                     "batched_256".into(),
-                    backend_entry(large.clone(), &large_scalar),
-                ),
-                (
-                    "batched_simd_256".into(),
-                    backend_entry(large.clone(), &large_simd),
+                    backend_entry(large.clone(), &large_batched),
                 ),
                 (
                     "batched_fast_256".into(),
@@ -345,14 +299,6 @@ fn main() {
         ),
         ("batched_over_pulse_speedup".into(), Json::Number(speedup)),
         (
-            "simd_over_scalar_speedup_256".into(),
-            Json::Number(simd_speedup),
-        ),
-        (
-            "fast_math_over_simd_speedup_256".into(),
-            Json::Number(fast_speedup),
-        ),
-        (
             "threaded_over_batched_speedup_256".into(),
             Json::Number(threaded_speedup),
         ),
@@ -377,20 +323,6 @@ fn main() {
         println!(
             "  threaded >=3x assertion skipped: {cores} core(s) available, \
              need at least 4 for the speedup to be obtainable"
-        );
-    }
-    if detected == SimdLevel::Avx2 {
-        assert!(
-            simd_speedup >= 2.0,
-            "the bit-exact SIMD tier must sustain >=2x the scalar chunk loop \
-             on a {LARGE_EDGE}x{LARGE_EDGE} array on AVX2 hardware, \
-             measured {simd_speedup:.2}x"
-        );
-    } else {
-        println!(
-            "  simd >=2x assertion skipped: lane kernel detected {:?} \
-             (scalar fallback is bit-identical, so there is nothing to gate)",
-            detected.label()
         );
     }
 }

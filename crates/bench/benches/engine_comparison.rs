@@ -1,6 +1,6 @@
 //! Compares the fast ideal-driver pulse engine against the MNA-backed
-//! detailed engine for a short hammer burst (the DESIGN.md "two fidelities"
-//! ablation).
+//! detailed engine for a short hammer burst (the "pulse vs. detailed
+//! backend" ablation of `ablation_report`, see README.md).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rram_crossbar::{

@@ -651,19 +651,35 @@ type CouplingKey = (usize, usize, u64);
 impl CampaignSpec {
     /// Number of grid points the campaign will execute (Monte Carlo trials
     /// count as grid points).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `usize`; [`CampaignSpec::validate`]
+    /// rejects such specs.
     pub fn num_points(&self) -> usize {
-        self.array_sizes.len()
-            * self.patterns.len()
-            * self.amplitudes_v.len()
-            * self.pulse_lengths_ns.len()
-            * self.duty_cycles.len()
-            * self.spacings_nm.len()
-            * self.ambients_k.len()
-            * self.schemes.len()
-            * self.guards.len()
-            * self.spread_scales.len()
-            * self.backends.len()
-            * self.trials as usize
+        self.checked_num_points()
+            .expect("grid point count overflows usize; validate() rejects this spec")
+    }
+
+    /// The product of every axis length and the trial count, or `None` when
+    /// it overflows `usize`.
+    fn checked_num_points(&self) -> Option<usize> {
+        [
+            self.array_sizes.len(),
+            self.patterns.len(),
+            self.amplitudes_v.len(),
+            self.pulse_lengths_ns.len(),
+            self.duty_cycles.len(),
+            self.spacings_nm.len(),
+            self.ambients_k.len(),
+            self.schemes.len(),
+            self.guards.len(),
+            self.spread_scales.len(),
+            self.backends.len(),
+            usize::try_from(self.trials).ok()?,
+        ]
+        .into_iter()
+        .try_fold(1usize, usize::checked_mul)
     }
 
     /// Checks the grid is well formed.
@@ -745,6 +761,11 @@ impl CampaignSpec {
         if self.trials == 0 {
             return Err(CampaignError::InvalidValue(
                 "trials must be at least 1".into(),
+            ));
+        }
+        if self.checked_num_points().is_none() {
+            return Err(CampaignError::InvalidValue(
+                "the grid point count (every axis length times trials) overflows".into(),
             ));
         }
         for spread in &self.spreads {
@@ -2198,6 +2219,39 @@ mod tests {
         spec.spread_scales = vec![1.0];
         spec.backends = vec![BackendKind::Batched];
         assert!(spec.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_a_grid_whose_point_count_overflows() {
+        // 70 000 × 70 000 × (2³² − 1) ≈ 2.1·10¹⁹ points exceeds usize::MAX:
+        // an unchecked product would panic (or wrap) before allocating.
+        let axis = vec!["1"; 70_000].join(",");
+        let body = format!(
+            r#"{{"amplitudes_v": [{axis}], "pulse_lengths_ns": [{axis}], "trials": 4294967295}}"#
+        );
+        match CampaignSpec::from_json(&body) {
+            Err(CampaignError::InvalidValue(message)) => {
+                assert!(message.contains("overflows"), "{message}")
+            }
+            other => panic!("expected an overflow error, got {other:?}"),
+        }
+        let spec = CampaignSpec {
+            amplitudes_v: vec![1.0; 70_000],
+            pulse_lengths_ns: vec![1.0; 70_000],
+            trials: u32::MAX,
+            ..CampaignSpec::default()
+        };
+        assert!(matches!(
+            spec.validate(),
+            Err(CampaignError::InvalidValue(_))
+        ));
+        assert!(CampaignExecutor::new(spec).is_err());
+
+        // A huge grid whose count still fits in usize validates.
+        let mut spec = tiny_spec();
+        spec.trials = u32::MAX;
+        assert!(spec.validate().is_ok());
+        assert_eq!(spec.num_points(), 2 * u32::MAX as usize);
     }
 
     #[test]

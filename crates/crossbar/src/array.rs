@@ -284,6 +284,7 @@ impl CrossbarArray {
         dt: rram_units::Seconds,
         mode: rram_jart::MathMode,
     ) {
+        self.bank.prepare_op_cache(mode);
         match &self.params_table {
             Some(table) => rram_jart::kernel::step_lanes_mode(
                 &table[..],
@@ -336,6 +337,7 @@ impl CrossbarArray {
         threads: usize,
         mode: rram_jart::MathMode,
     ) {
+        self.bank.prepare_op_cache(mode);
         match &self.params_table {
             Some(table) => rram_jart::kernel::step_lanes_threaded_mode(
                 &table[..],
@@ -591,6 +593,51 @@ mod tests {
             fresh.cell(CellAddress::new(1, 1)).concentration().to_bits(),
             reference.concentration().to_bits()
         );
+    }
+
+    #[test]
+    fn a_step_after_set_params_table_ignores_solves_cached_under_the_old_params() {
+        // A zero-length step caches each lane's solve at `(v, n_min)`
+        // under the nominal parameters; reinstalling a table resets every
+        // lane to the same `n_min`, so without invalidation the next step
+        // would replay the nominal solve for the wider filaments.
+        let nominal = DeviceParams::default();
+        let mut table = vec![nominal.clone(); 4];
+        for params in &mut table {
+            params.filament_radius *= 1.5;
+        }
+        let dt = rram_units::Seconds(2e-9);
+        let mut stepped = CrossbarArray::new(2, 2, nominal.clone());
+        stepped.step_lanes(&[0.6; 4], rram_units::Seconds(0.0));
+        stepped.set_params_table(table.clone());
+        stepped.step_lanes(&[0.6; 4], dt);
+
+        let mut fresh = CrossbarArray::new(2, 2, nominal);
+        fresh.set_params_table(table);
+        fresh.step_lanes(&[0.6; 4], dt);
+        assert_eq!(stepped.bank(), fresh.bank());
+        for lane in 0..4 {
+            assert_eq!(
+                stepped.bank().concentrations()[lane].to_bits(),
+                fresh.bank().concentrations()[lane].to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn switching_the_math_mode_ignores_solves_cached_under_the_other_mode() {
+        // A zero-length step caches each lane's solve at `(0.9 V, n_min)`,
+        // where the exact and fast solves differ in the last bits.
+        let (v, instant) = ([0.9; 12], rram_units::Seconds(0.0));
+        let mut a = array();
+        a.step_lanes_mode(&v, instant, rram_jart::MathMode::Exact);
+        let exact_op = a.bank().operating_point(0);
+        a.step_lanes_mode(&v, instant, rram_jart::MathMode::Fast);
+
+        let mut fresh = array();
+        fresh.step_lanes_mode(&v, instant, rram_jart::MathMode::Fast);
+        assert_ne!(fresh.bank().operating_point(0), exact_op);
+        assert_eq!(a.bank(), fresh.bank());
     }
 
     #[test]

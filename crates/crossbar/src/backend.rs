@@ -150,9 +150,10 @@ pub trait HammerBackend {
         1
     }
 
-    /// The SIMD tier this engine's lane kernel dispatches to right now
-    /// (`"scalar"` / `"avx2"` / `"neon"`, see `rram_jart::simd`). Engines
-    /// that never enter the lane kernel report `"scalar"`.
+    /// The instruction set this engine's lane kernel is hand-vectorised
+    /// for, as recorded in benchmark results. Every engine runs the
+    /// portable lane kernel (left to the compiler's autovectorizer), so
+    /// all of them report `"scalar"`.
     fn simd_isa(&self) -> &'static str {
         "scalar"
     }

@@ -32,22 +32,12 @@ use rram_jart::{DeviceParams, DigitalState, MathMode};
 use rram_units::{Kelvin, Seconds, Volts};
 
 /// Shared handle to the pulse counter (one registry registration per
-/// process; every pulse after that is a single atomic add). Registration
-/// also publishes the active SIMD tier as a labelled gauge, so `/metrics`
-/// reports which kernel the fleet actually dispatched.
+/// process; every pulse after that is a single atomic add).
 fn pulses_integrated() -> &'static std::sync::Arc<rram_telemetry::Counter> {
     static HANDLE: std::sync::OnceLock<std::sync::Arc<rram_telemetry::Counter>> =
         std::sync::OnceLock::new();
     HANDLE.get_or_init(|| {
-        let registry = rram_telemetry::Registry::global();
-        registry
-            .gauge_with(
-                "kernel_simd_tier",
-                "Active SIMD lane-kernel tier (1 = in use)",
-                &[("tier", rram_jart::simd::active().label())],
-            )
-            .set(1.0);
-        registry.counter(
+        rram_telemetry::Registry::global().counter(
             "kernel_pulses_total",
             "Hammer pulses integrated by the batched engine",
         )
@@ -247,10 +237,6 @@ impl HammerBackend for BatchedEngine {
 
     fn worker_threads(&self) -> usize {
         self.threads
-    }
-
-    fn simd_isa(&self) -> &'static str {
-        rram_jart::simd::active().label()
     }
 
     fn rows(&self) -> usize {

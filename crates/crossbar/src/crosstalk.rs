@@ -325,20 +325,20 @@ impl CrosstalkHub {
             return;
         }
         let blend = self.blend(dt);
-        let level = rram_jart::simd::active();
         std::mem::swap(&mut self.state, &mut self.scratch);
         // Clamped self-heating rises, computed once per source. Storing an
         // exact `0.0` where a source contributes nothing keeps the axpy
         // bit-neutral there: the accumulator is never `-0.0` (it starts at
         // `+0.0` and partial sums of finite terms that cancel round to
         // `+0.0`), so adding `α·0.0` preserves every bit.
-        rram_jart::simd::positive_rise(
-            level,
-            ambient.0,
-            temperatures,
-            &self.scratch,
-            &mut self.rise,
-        );
+        for (slot, (&t, &p)) in self
+            .rise
+            .iter_mut()
+            .zip(temperatures.iter().zip(&self.scratch))
+        {
+            let r = t - ambient.0 - p;
+            *slot = if r > 0.0 { r } else { 0.0 };
+        }
         // Per-row nonzero span of the rises. Crosstalk is local, so away
         // from the biased lines whole rows are exactly `0.0`; clipping the
         // accumulation below to the span only skips `α · 0.0` terms, which
@@ -372,10 +372,9 @@ impl CrosstalkHub {
             state_row.iter_mut().for_each(|v| *v = 0.0);
             // The support is sorted descending by `(d_row, d_col)`, so the
             // offsets sharing one source row form a contiguous run; each
-            // run becomes one fused stencil pass over that source row (the
-            // per-destination term order — `d_row` descending, then
-            // `d_col` descending — is exactly the stored order, so the
-            // fusion carries the same bits as per-offset axpy sweeps).
+            // run is one stencil over that source row, applied offset by
+            // offset in the stored order (per destination: `d_row`
+            // descending, then `d_col` descending).
             let mut k = 0;
             while k < self.support.len() {
                 let d_row = self.support[k].0;
@@ -402,38 +401,44 @@ impl CrosstalkHub {
                 let dst_hi = (nz_hi as isize + max_c).clamp(dst_lo as isize, cols) as usize;
                 let src_base = (src_row * cols) as usize;
                 let rise = &self.rise[src_base..src_base + self.cols];
-                let mut shifts = [(0isize, 0.0f64); 8];
-                if run.len() <= shifts.len() {
-                    for (slot, &(_, d_col, alpha)) in shifts.iter_mut().zip(run) {
-                        *slot = (d_col, alpha);
-                    }
-                    rram_jart::simd::stencil_accumulate_range(
-                        level,
-                        &shifts[..run.len()],
-                        rise,
-                        state_row,
-                        dst_lo,
-                        dst_hi,
-                    );
-                } else {
-                    // A denser kernel than the stack buffer holds: fall
-                    // back to one clipped axpy pass per offset.
-                    for &(_, d_col, alpha) in run {
-                        let col_lo = (-d_col).max(nz_lo as isize);
-                        let col_hi = (cols - d_col).min(nz_hi as isize);
-                        if col_lo >= col_hi {
-                            continue;
-                        }
-                        let width = (col_hi - col_lo) as usize;
-                        let src = &rise[col_lo as usize..col_lo as usize + width];
-                        let dst_off = (col_lo + d_col) as usize;
-                        let row = &mut state_row[dst_off..dst_off + width];
-                        rram_jart::simd::axpy(level, alpha, src, row);
-                    }
-                }
+                stencil_accumulate_range(run, rise, state_row, dst_lo, dst_hi);
             }
             let scratch_row = &self.scratch[dst_base..dst_base + self.cols];
-            rram_jart::simd::blend_into(level, blend, scratch_row, state_row);
+            for (a, &p) in state_row.iter_mut().zip(scratch_row) {
+                *a = p + (*a - p) * blend;
+            }
+        }
+    }
+}
+
+/// Shifted-row accumulation `dst[j] += Σ_k α_k · src[j − c_k]` over the
+/// `(_, c_k, α_k)` offsets of one support run, restricted to destination
+/// columns `from..to`: one clipped axpy window per offset, in run order —
+/// simple windows the autovectorizer handles on its own. Shifted reads that
+/// fall outside `src` are skipped (the boundary clip of a convolution), and
+/// so are the columns outside `from..to`, which the caller has shown to
+/// receive only bit-neutral `α · 0.0` terms.
+fn stencil_accumulate_range(
+    run: &[(isize, isize, f64)],
+    src: &[f64],
+    dst: &mut [f64],
+    from: usize,
+    to: usize,
+) {
+    let cols = dst.len() as isize;
+    for &(_, c, a) in run {
+        let src_lo = (from as isize - c).clamp(0, cols);
+        let src_hi = (to as isize - c).clamp(src_lo, cols);
+        let width = (src_hi - src_lo) as usize;
+        if width == 0 {
+            // An empty window can still put `src_lo + c` outside `dst`
+            // (e.g. a +2 shift on a one-column row) — nothing to add.
+            continue;
+        }
+        let window = &src[src_lo as usize..src_lo as usize + width];
+        let dst_off = (src_lo + c) as usize;
+        for (d, &s) in dst[dst_off..dst_off + width].iter_mut().zip(window) {
+            *d += a * s;
         }
     }
 }
@@ -551,10 +556,24 @@ mod tests {
         // source-major scatter (each source pushed over the support, sources
         // ascending) bit for bit — this is what keeps batched campaign
         // results stable across the loop restructure. Exercised on an array
-        // larger than the support and on one narrower than the coupling
-        // reach (every offset clipped).
-        for (rows, cols) in [(6, 7), (2, 2)] {
-            let mut hub = CrosstalkHub::uniform(rows, cols, 0.1, 0.05, 0.02, Seconds(40e-9));
+        // larger than the support, on one narrower than the coupling reach
+        // (every offset clipped), and with an 11×11 extracted-style profile
+        // whose source-row runs hold 11 offsets each.
+        let wide = || {
+            let values = (0..121)
+                .map(|i| {
+                    let (r, c) = (i / 11 - 5, i % 11 - 5);
+                    0.2 / (1.0 + (r * r + c * c) as f64)
+                })
+                .collect();
+            AlphaMatrix::from_values(11, 11, (5, 5), values)
+        };
+        for (rows, cols, wide_profile) in [(6, 7, false), (2, 2, false), (14, 15, true)] {
+            let mut hub = if wide_profile {
+                CrosstalkHub::new(rows, cols, wide(), Seconds(40e-9))
+            } else {
+                CrosstalkHub::uniform(rows, cols, 0.1, 0.05, 0.02, Seconds(40e-9))
+            };
             let mut expected_state: Vec<f64> = hub.state.clone();
             let temps: Vec<f64> = (0..rows * cols)
                 .map(|i| 280.0 + (i as f64 * 37.0) % 650.0)

@@ -2,7 +2,8 @@
 //!
 //! Prints, for a grid of (activation energy, attempt frequency) pairs, the
 //! three characteristic times that define the NeuroHammer operating regime
-//! (see DESIGN.md): nominal SET, half-select disturb at ambient, and
+//! (see the `rram_jart::params` module docs): nominal SET, half-select
+//! disturb at ambient, and
 //! half-select disturb with a Fig. 2a-like 55 K crosstalk temperature.
 //!
 //! Run with `cargo run -p rram-jart --release --example calibrate_sweep`.

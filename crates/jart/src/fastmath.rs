@@ -6,9 +6,8 @@
 //! polynomial approximations in this module, which are built only from
 //! IEEE-754 basic operations (`+ − × ÷ sqrt floor`) in a fixed evaluation
 //! order with no FMA contraction, so they produce **the same bits on every
-//! platform and on every tier** — the 2-lane vector form [`exp_pair`] is
-//! bit-identical to two scalar [`exp`] calls, and a fast-math campaign run
-//! on a non-SIMD machine reproduces an AVX2 machine's output exactly.
+//! platform**: a fast-math campaign run on one machine reproduces another
+//! machine's output exactly.
 //!
 //! Accuracy is ~2·10⁻¹³ relative for [`exp`] (degree-10 Taylor on the
 //! range-reduced argument) and similar for [`ln`]/[`asinh`] — far inside
@@ -55,8 +54,7 @@ fn scale_pow2(p: f64, n: i64) -> f64 {
 
 #[inline]
 fn exp_reduce(x: f64) -> (f64, f64) {
-    // Nearest integer multiple of ln2 via floor(t + ½) — bit-identical to
-    // the vector arms, which have floor but not round-to-nearest-even.
+    // Nearest integer multiple of ln2 via floor(t + ½).
     let n = (x * std::f64::consts::LOG2_E + 0.5).floor();
     let r = (x - n * LN2_HI) - n * LN2_LO;
     (n, r)
@@ -87,35 +85,6 @@ pub fn exp(x: f64) -> f64 {
     }
     let (n, r) = exp_reduce(x);
     scale_pow2(exp_horner(r), n as i64)
-}
-
-#[inline]
-#[allow(dead_code)] // referenced by the cfg'd vector arms
-fn exp_in_range(x: f64) -> bool {
-    // NaN fails both comparisons, routing it to the scalar fallback.
-    (EXP_UNDERFLOW..=EXP_OVERFLOW).contains(&x)
-}
-
-/// Two fast exponentials at once — **bit-identical** to
-/// `(exp(x0), exp(x1))` whether it takes the 2-lane vector arm (SIMD
-/// feature + detected ISA) or the scalar fallback, because both evaluate
-/// the identical operation sequence without FMA contraction.
-#[inline]
-pub fn exp_pair(x0: f64, x1: f64) -> (f64, f64) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::simd::active() == crate::simd::SimdLevel::Avx2 && exp_in_range(x0) && exp_in_range(x1)
-    {
-        // SAFETY: active() == Avx2 implies the CPU reported AVX2 (and with
-        // it SSE4.1, which supplies the vector floor).
-        return unsafe { sse::exp_pair(x0, x1) };
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if crate::simd::active() == crate::simd::SimdLevel::Neon && exp_in_range(x0) && exp_in_range(x1)
-    {
-        // SAFETY: active() == Neon implies the CPU reported NEON.
-        return unsafe { neon::exp_pair(x0, x1) };
-    }
-    (exp(x0), exp(x1))
 }
 
 /// Fast natural logarithm: atanh-series on the mantissa reduced into
@@ -192,81 +161,6 @@ pub fn asinh(x: f64) -> f64 {
     r.copysign(x)
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod sse {
-    use super::{exp_horner, exp_reduce, scale_pow2, EXP_COEFFS, LN2_HI, LN2_LO};
-    use std::arch::x86_64::*;
-
-    /// # Safety
-    /// Requires AVX2 (for SSE4.1's `_mm_floor_pd`); both inputs must be in
-    /// the non-saturating range — the public wrapper guarantees both.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn exp_pair(x0: f64, x1: f64) -> (f64, f64) {
-        let x = _mm_set_pd(x1, x0);
-        let t = _mm_add_pd(
-            _mm_mul_pd(x, _mm_set1_pd(std::f64::consts::LOG2_E)),
-            _mm_set1_pd(0.5),
-        );
-        let n = _mm_floor_pd(t);
-        let r = _mm_sub_pd(
-            _mm_sub_pd(x, _mm_mul_pd(n, _mm_set1_pd(LN2_HI))),
-            _mm_mul_pd(n, _mm_set1_pd(LN2_LO)),
-        );
-        let mut p = _mm_set1_pd(EXP_COEFFS[0]);
-        for &c in &EXP_COEFFS[1..] {
-            p = _mm_add_pd(_mm_mul_pd(p, r), _mm_set1_pd(c));
-        }
-        let mut pv = [0.0f64; 2];
-        let mut nv = [0.0f64; 2];
-        _mm_storeu_pd(pv.as_mut_ptr(), p);
-        _mm_storeu_pd(nv.as_mut_ptr(), n);
-        debug_assert_eq!((nv[0], pv[0]), {
-            let (n, r) = exp_reduce(x0);
-            (n, exp_horner(r))
-        });
-        (
-            scale_pow2(pv[0], nv[0] as i64),
-            scale_pow2(pv[1], nv[1] as i64),
-        )
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-mod neon {
-    use super::{scale_pow2, EXP_COEFFS, LN2_HI, LN2_LO};
-    use std::arch::aarch64::*;
-
-    /// # Safety
-    /// Requires NEON; both inputs must be in the non-saturating range.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn exp_pair(x0: f64, x1: f64) -> (f64, f64) {
-        let xs = [x0, x1];
-        let x = vld1q_f64(xs.as_ptr());
-        let t = vaddq_f64(
-            vmulq_f64(x, vdupq_n_f64(std::f64::consts::LOG2_E)),
-            vdupq_n_f64(0.5),
-        );
-        // vrndm = round toward −∞, i.e. floor.
-        let n = vrndmq_f64(t);
-        let r = vsubq_f64(
-            vsubq_f64(x, vmulq_f64(n, vdupq_n_f64(LN2_HI))),
-            vmulq_f64(n, vdupq_n_f64(LN2_LO)),
-        );
-        let mut p = vdupq_n_f64(EXP_COEFFS[0]);
-        for &c in &EXP_COEFFS[1..] {
-            p = vaddq_f64(vmulq_f64(p, r), vdupq_n_f64(c));
-        }
-        let mut pv = [0.0f64; 2];
-        let mut nv = [0.0f64; 2];
-        vst1q_f64(pv.as_mut_ptr(), p);
-        vst1q_f64(nv.as_mut_ptr(), n);
-        (
-            scale_pow2(pv[0], nv[0] as i64),
-            scale_pow2(pv[1], nv[1] as i64),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,25 +185,6 @@ mod tests {
         assert_eq!(exp(f64::NEG_INFINITY), 0.0);
         assert!(exp(f64::NAN).is_nan());
         assert_eq!(exp(0.0), 1.0);
-    }
-
-    #[test]
-    fn exp_pair_is_bitwise_the_scalar_exp() {
-        // Whichever arm exp_pair takes on this machine, its bits must match
-        // the scalar reference — including saturating inputs (which always
-        // take the scalar fallback) and NaN.
-        let probes = [
-            -750.0, -708.5, -700.0, -1.0, -1e-9, 0.0, 0.3, 5.5, 88.0, 700.0, 709.5,
-        ];
-        for &a in &probes {
-            for &b in &probes {
-                let (p0, p1) = exp_pair(a, b);
-                assert_eq!(p0.to_bits(), exp(a).to_bits(), "lane 0 of ({a}, {b})");
-                assert_eq!(p1.to_bits(), exp(b).to_bits(), "lane 1 of ({a}, {b})");
-            }
-        }
-        let (n0, _) = exp_pair(f64::NAN, 1.0);
-        assert!(n0.is_nan());
     }
 
     #[test]

@@ -40,7 +40,6 @@ use crate::current::{solve_operating_point_mode, OperatingPoint};
 use crate::device::DigitalState;
 use crate::kinetics::{concentration_rate_mode, MathMode};
 use crate::params::DeviceParams;
-use crate::simd::{self, SimdLevel};
 use crate::thermal::filament_temperature;
 use rram_units::Seconds;
 
@@ -77,12 +76,16 @@ pub struct CellBank {
     op_cache_n_bits: Vec<u64>,
     /// The cached operating point per lane.
     op_cache_op: Vec<OperatingPoint>,
+    /// The math mode the operating-point cache was filled under (see
+    /// [`CellBank::prepare_op_cache`]).
+    op_cache_mode: MathMode,
 }
 
 /// Equality compares the observable lanes only; the operating-point cache
-/// is a pure accelerator whose occupancy depends on which kernel tier ran,
-/// so two banks that took different tiers to bit-identical state compare
-/// equal (the same convention the crosstalk hub uses for its scratch).
+/// is a pure accelerator whose occupancy depends on which entry point ran
+/// (the per-lane [`step_lane`] reference never fills it), so two banks that
+/// reached bit-identical state by different routes compare equal (the same
+/// convention the crosstalk hub uses for its scratch).
 impl PartialEq for CellBank {
     fn eq(&self, other: &Self) -> bool {
         self.n_disc == other.n_disc
@@ -115,6 +118,7 @@ impl CellBank {
             op_cache_v_bits: vec![0; lanes],
             op_cache_n_bits: vec![0; lanes],
             op_cache_op: vec![OperatingPoint::zero(); lanes],
+            op_cache_mode: MathMode::Exact,
         }
     }
 
@@ -126,6 +130,17 @@ impl CellBank {
     /// per-lane parameter table — must invalidate before the next step.
     pub fn invalidate_op_cache(&mut self) {
         self.op_cache_v_bits.fill(0);
+    }
+
+    /// Readies the operating-point cache for a step under `mode`: a cache
+    /// filled under the other mode is emptied first. Owners that expose a
+    /// per-call mode (the crossbar array does) call this before every
+    /// [`step_lanes_mode`], so a mode switch can never replay a stale solve.
+    pub fn prepare_op_cache(&mut self, mode: MathMode) {
+        if self.op_cache_mode != mode {
+            self.invalidate_op_cache();
+            self.op_cache_mode = mode;
+        }
     }
 
     /// Number of lanes (cells).
@@ -268,8 +283,8 @@ impl<'a> CellBankView<'a> {
     ///
     /// The halves borrow disjoint slices of every lane, so they can be
     /// stepped concurrently — this is what [`step_lanes_threaded`] uses to
-    /// hand one array sub-step to several scoped threads without any
-    /// unsafe code.
+    /// hand one array sub-step to several scoped threads through plain
+    /// borrow-checked slices.
     ///
     /// # Panics
     ///
@@ -413,14 +428,6 @@ pub const LANE_CHUNK: usize = 8;
 /// sub-steps, through the crosstalk lane), which keeps the per-lane loop
 /// free of cross-lane dependencies.
 ///
-/// The lane loop walks fixed-width [`LANE_CHUNK`] slices with a scalar
-/// remainder loop. A chunk whose voltages are all exactly zero — the common
-/// case on a large array, where only the selected row and column are biased
-/// — takes a branch-free relax update that the autovectorizer can unroll;
-/// any other chunk falls back to the per-lane [`step_lane`] reference. Both
-/// paths are bit-identical to calling [`step_lane`] on every lane (the
-/// proptests in `tests/kernel_lanes.rs` pin this down, remainders and all).
-///
 /// `params` is either one shared `&DeviceParams` or a per-lane
 /// `&[DeviceParams]` table (see [`LaneParams`]); a lane stepped with its
 /// table entry is bit-identical to a 1-lane bank stepped with that entry,
@@ -439,51 +446,42 @@ pub fn step_lanes<'a>(
     step_lanes_mode(params, voltages, lanes, dt, MathMode::Exact)
 }
 
-/// [`step_lanes`] with an explicit [`MathMode`], dispatched to the SIMD
-/// level the process detected (see [`simd::active`]).
-pub fn step_lanes_mode<'a>(
-    params: impl Into<LaneParams<'a>>,
-    voltages: &[f64],
-    lanes: &mut CellBankView<'_>,
-    dt: Seconds,
-    mode: MathMode,
-) {
-    step_lanes_with(params, voltages, lanes, dt, mode, simd::active())
-}
-
-/// [`step_lanes`] with the math mode and SIMD level fully explicit — the
-/// entry point the bit-identity proptests drive tier-against-tier.
+/// [`step_lanes`] with an explicit [`MathMode`].
 ///
-/// The requested `level` is sanitised against the hardware (see
-/// [`simd::sanitize`]), so an impossible request degrades to the scalar
-/// tier instead of faulting. The scalar tier is the PR 6 chunked loop,
-/// unchanged. The vector tiers add four bit-preserving accelerations on
-/// top of the intrinsics themselves: all-idle chunks take a vectorised
-/// relax update with lazy operating-point stores, mixed chunks route their
-/// zero-voltage lanes to the relax update (bit-identical to
-/// [`step_lane`] at `v = 0`, which never accrues stress time), biased
-/// lanes reuse a per-lane one-entry operating-point cache (`(v_cell, n)`
-/// pins the solve completely — temperature does not enter it), and with
-/// shared params consecutive biased lanes replay through a one-entry
-/// `LaneEcho` cache (the integrator is pure in the lane's
-/// `(v, ΔT, n, charge)` tuple, so a hit copies the recorded outcome
-/// bit-for-bit instead of re-solving).
+/// The lane loop walks fixed-width [`LANE_CHUNK`] slices with a remainder
+/// loop and replays instead of re-solving wherever the result is already
+/// known, bit-identically to calling [`step_lane_mode`] on every lane (the
+/// proptests in `tests/kernel_lanes.rs` pin this down):
 ///
-/// The cache assumes each lane's `(params, mode)` pair is stable between
-/// calls; callers that change either must
+/// * a chunk whose voltages are all exactly zero — the common case on a
+///   large array, where only the selected row and column are biased —
+///   takes the relax update of [`relax_lanes`];
+/// * a zero-voltage lane inside a biased chunk takes the same relax update
+///   (at `v = 0` the solve is the zero operating point and no stress time
+///   accrues);
+/// * a biased lane reuses its one-entry operating-point cache: `(v_cell,
+///   n)` pins the solve completely (temperature does not enter it), and
+///   the refresh solve ending one sub-step is exactly the first solve of
+///   the next;
+/// * with shared params, consecutive biased lanes replay through the
+///   one-entry `LaneEcho` cache: the integrator is pure in the lane's
+///   `(v, ΔT, n, charge)` tuple, so a hit copies the recorded outcome
+///   instead of re-solving.
+///
+/// The operating-point cache assumes each lane's `(params, mode)` pair is
+/// stable between calls; callers that change either must
 /// [`CellBank::invalidate_op_cache`] first.
 ///
 /// # Panics
 ///
 /// Panics if `voltages.len()` (or a per-lane table's length) does not match
 /// the lane count, or if `dt` is negative or not finite.
-pub fn step_lanes_with<'a>(
+pub fn step_lanes_mode<'a>(
     params: impl Into<LaneParams<'a>>,
     voltages: &[f64],
     lanes: &mut CellBankView<'_>,
     dt: Seconds,
     mode: MathMode,
-    level: SimdLevel,
 ) {
     let params = params.into();
     assert_eq!(
@@ -496,69 +494,34 @@ pub fn step_lanes_with<'a>(
     }
     assert!(dt.0.is_finite() && dt.0 >= 0.0, "dt must be non-negative");
 
-    let level = simd::sanitize(level);
-    let total = lanes.lanes();
-    let mut base = 0;
-    if level == SimdLevel::Scalar {
-        while base + LANE_CHUNK <= total {
-            let chunk: &[f64; LANE_CHUNK] = voltages[base..base + LANE_CHUNK]
-                .try_into()
-                .expect("chunk slice has LANE_CHUNK lanes");
-            if chunk.iter().all(|&v| v == 0.0) {
-                // All-idle chunk: the fixed-width relax update.
-                for offset in 0..LANE_CHUNK {
-                    let lane = base + offset;
-                    relax_lane(params.of(lane), lanes, lane, dt);
-                }
-            } else {
-                for (offset, &v_cell) in chunk.iter().enumerate() {
-                    let lane = base + offset;
-                    step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, mode, false);
-                }
-            }
-            base += LANE_CHUNK;
-        }
-        // Scalar remainder loop for the tail lanes.
-        for (lane, &v_cell) in voltages.iter().enumerate().skip(base) {
-            step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, mode, false);
-        }
-        return;
-    }
-
     // The cross-lane replay cache is sound only when every lane shares one
-    // `DeviceParams`; per-lane tables fall back to the plain tuned step.
+    // `DeviceParams`; per-lane tables fall back to the plain cached step.
     let shared = matches!(params, LaneParams::Shared(_));
     let mut echo = LaneEcho::cold();
-    while base + LANE_CHUNK <= total {
-        let chunk: &[f64; LANE_CHUNK] = voltages[base..base + LANE_CHUNK]
-            .try_into()
-            .expect("chunk slice has LANE_CHUNK lanes");
-        if simd::chunk_all_zero(level, chunk) {
-            relax_chunk_tuned(level, params, lanes, base, dt);
-        } else {
-            for (offset, &v_cell) in chunk.iter().enumerate() {
-                let lane = base + offset;
-                if v_cell == 0.0 {
-                    // Bit-identical to step_lane at v = 0: the zero solve,
-                    // no stress-time accrual, a `+0.0` charge term.
-                    relax_lane_tuned(params.of(lane), lanes, lane);
-                } else if shared {
-                    step_lane_echoed(params.of(lane), lanes, lane, v_cell, dt, mode, &mut echo);
-                } else {
-                    step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, mode, true);
-                }
-            }
-        }
-        base += LANE_CHUNK;
-    }
-    for (lane, &v_cell) in voltages.iter().enumerate().skip(base) {
+    let mut step_one = |lanes: &mut CellBankView<'_>, lane: usize, v_cell: f64| {
         if v_cell == 0.0 {
-            relax_lane_tuned(params.of(lane), lanes, lane);
+            relax_lane(params.of(lane), lanes, lane);
         } else if shared {
             step_lane_echoed(params.of(lane), lanes, lane, v_cell, dt, mode, &mut echo);
         } else {
             step_lane_inner(params.of(lane), lanes, lane, v_cell, dt, mode, true);
         }
+    };
+    let total = lanes.lanes();
+    let mut base = 0;
+    while base + LANE_CHUNK <= total {
+        let chunk = &voltages[base..base + LANE_CHUNK];
+        if chunk.iter().all(|&v| v == 0.0) {
+            relax_chunk(params, lanes, base);
+        } else {
+            for (offset, &v_cell) in chunk.iter().enumerate() {
+                step_one(lanes, base + offset, v_cell);
+            }
+        }
+        base += LANE_CHUNK;
+    }
+    for (lane, &v_cell) in voltages.iter().enumerate().skip(base) {
+        step_one(lanes, lane, v_cell);
     }
     flush_echo_telemetry(&echo);
 }
@@ -572,7 +535,8 @@ pub fn step_lanes_with<'a>(
 /// change is the filament temperature tracking the imported crosstalk ΔT.
 /// Engines use it to skip both the per-pulse voltage-buffer refill and the
 /// full kernel dispatch during gap phases (a unit test on the batched
-/// engine pins the before/after bit-identity).
+/// engine pins the before/after bit-identity). The temperature lane is
+/// updated a [`LANE_CHUNK`] at a time.
 ///
 /// # Panics
 ///
@@ -583,64 +547,27 @@ pub fn relax_lanes<'a>(
     lanes: &mut CellBankView<'_>,
     dt: Seconds,
 ) {
-    relax_lanes_with(params, lanes, dt, simd::active())
-}
-
-/// [`relax_lanes`] with the SIMD level explicit (sanitised like
-/// [`step_lanes_with`]); the vector tiers update the temperature lane a
-/// [`LANE_CHUNK`] at a time and skip the redundant operating-point and
-/// charge stores, bit-identically to the scalar loop.
-///
-/// # Panics
-///
-/// Panics if a per-lane table's length does not match the lane count, or if
-/// `dt` is negative or not finite.
-pub fn relax_lanes_with<'a>(
-    params: impl Into<LaneParams<'a>>,
-    lanes: &mut CellBankView<'_>,
-    dt: Seconds,
-    level: SimdLevel,
-) {
     let params = params.into();
     if let LaneParams::PerLane(table) = params {
         assert_eq!(table.len(), lanes.lanes(), "params table length mismatch");
     }
     assert!(dt.0.is_finite() && dt.0 >= 0.0, "dt must be non-negative");
-    let level = simd::sanitize(level);
-    if level == SimdLevel::Scalar {
-        for lane in 0..lanes.lanes() {
-            relax_lane(params.of(lane), lanes, lane, dt);
-        }
-        return;
-    }
     let total = lanes.lanes();
     let mut base = 0;
     while base + LANE_CHUNK <= total {
-        relax_chunk_tuned(level, params, lanes, base, dt);
+        relax_chunk(params, lanes, base);
         base += LANE_CHUNK;
     }
     for lane in base..total {
-        relax_lane_tuned(params.of(lane), lanes, lane);
+        relax_lane(params.of(lane), lanes, lane);
     }
 }
 
 /// The zero-voltage lane update, bit-identical to
 /// `step_lane(params, lanes, lane, 0.0, dt)`: refresh the temperature from
-/// the imported crosstalk, zero the operating point, leave the state and
-/// diagnostics lanes untouched.
-#[inline]
-fn relax_lane(params: &DeviceParams, lanes: &mut CellBankView<'_>, lane: usize, dt: Seconds) {
-    lanes.temperature[lane] = filament_temperature(params, 0.0, lanes.crosstalk[lane]);
-    lanes.last_op[lane] = OperatingPoint::zero();
-    if dt.0 > 0.0 {
-        // Mirrors the reference loop: charge accrues |I|·dt with I = 0.
-        lanes.charge[lane] += 0.0;
-    }
-    lanes.digital[lane] = digital_of(params, lanes.n_disc[lane]);
-}
-
-/// [`relax_lane`] minus the stores the scalar form only performs for
-/// bit-pattern fidelity with the reference loop:
+/// the imported crosstalk and leave the state and diagnostics lanes
+/// untouched. Two stores of the reference loop are skipped because they
+/// cannot change a bit:
 ///
 /// * the operating point is zeroed **lazily** — a stored point with
 ///   `v_cell != 0.0` can only have come from a biased solve (every zero-
@@ -651,50 +578,59 @@ fn relax_lane(params: &DeviceParams, lanes: &mut CellBankView<'_>, lane: usize, 
 ///   only `|I|·dt ≥ +0.0` terms from a `+0.0` start, so it never holds
 ///   `-0.0` and adding `+0.0` is a bitwise no-op.
 #[inline]
-fn relax_lane_tuned(params: &DeviceParams, lanes: &mut CellBankView<'_>, lane: usize) {
+fn relax_lane(params: &DeviceParams, lanes: &mut CellBankView<'_>, lane: usize) {
     lanes.temperature[lane] = filament_temperature(params, 0.0, lanes.crosstalk[lane]);
-    finish_relax_tuned(params, lanes, lane);
+    finish_relax(params, lanes, lane);
 }
 
 #[inline]
-fn finish_relax_tuned(params: &DeviceParams, lanes: &mut CellBankView<'_>, lane: usize) {
+fn finish_relax(params: &DeviceParams, lanes: &mut CellBankView<'_>, lane: usize) {
     if lanes.last_op[lane].v_cell != 0.0 {
         lanes.last_op[lane] = OperatingPoint::zero();
     }
     lanes.digital[lane] = digital_of(params, lanes.n_disc[lane]);
 }
 
-/// One all-idle [`LANE_CHUNK`]-wide block on a vector tier: the
-/// temperature update runs through the SIMD arm (shared-parameter banks
-/// only — a per-lane table falls back to the scalar tuned update, since
-/// its ambient/clamp constants vary per lane).
+/// One all-idle [`LANE_CHUNK`]-wide block of [`relax_lane`] updates. With
+/// shared params the temperature update runs as one fixed-width loop the
+/// autovectorizer unrolls; a per-lane table falls back to the per-lane
+/// update, since its ambient/clamp constants vary per lane.
 #[inline]
-fn relax_chunk_tuned(
-    level: SimdLevel,
-    params: LaneParams<'_>,
-    lanes: &mut CellBankView<'_>,
-    base: usize,
-    _dt: Seconds,
-) {
+fn relax_chunk(params: LaneParams<'_>, lanes: &mut CellBankView<'_>, base: usize) {
     match params {
         LaneParams::Shared(p) => {
-            simd::relax_chunk_temperature(
-                level,
+            relax_chunk_temperature(
                 p.ambient_temperature,
                 p.max_temperature,
                 &lanes.crosstalk[base..base + LANE_CHUNK],
                 &mut lanes.temperature[base..base + LANE_CHUNK],
             );
             for offset in 0..LANE_CHUNK {
-                finish_relax_tuned(p, lanes, base + offset);
+                finish_relax(p, lanes, base + offset);
             }
         }
         LaneParams::PerLane(_) => {
-            for offset in 0..LANE_CHUNK {
-                let lane = base + offset;
-                relax_lane_tuned(params.of(lane), lanes, lane);
+            for lane in base..base + LANE_CHUNK {
+                relax_lane(params.of(lane), lanes, lane);
             }
         }
+    }
+}
+
+/// The relax-phase temperature update of one [`LANE_CHUNK`]-wide block:
+/// `T[i] = min(ambient + max(crosstalk[i], 0), max_temperature)`, which is
+/// bit-identical to `thermal::filament_temperature(params, 0.0, x)` (the
+/// zero self-heating term contributes an exact `+0.0`, and the lower clamp
+/// bound can never bind because the crosstalk term is non-negative).
+#[inline]
+fn relax_chunk_temperature(
+    ambient: f64,
+    max_temperature: f64,
+    crosstalk: &[f64],
+    temperature: &mut [f64],
+) {
+    for (slot, &x) in temperature.iter_mut().zip(crosstalk) {
+        *slot = (ambient + x.max(0.0)).min(max_temperature);
     }
 }
 
@@ -735,7 +671,7 @@ pub fn step_lanes_threaded<'a>(
 const MAX_BLOCKS: usize = 256;
 
 /// [`step_lanes_threaded`] with an explicit [`MathMode`]; each worker runs
-/// [`step_lanes_with`] at the process's active SIMD level.
+/// [`step_lanes_mode`] on its blocks.
 ///
 /// # Panics
 ///
@@ -767,7 +703,6 @@ pub fn step_lanes_threaded_mode<'a>(
         step_lanes_mode(params, voltages, &mut lanes, dt, mode);
         return;
     }
-    let level = simd::active();
 
     // Chunk-aligned blocks, four per worker, pulled from a shared queue so
     // a worker that lands on the expensive switching lanes does not
@@ -804,13 +739,12 @@ pub fn step_lanes_threaded_mode<'a>(
                     break;
                 };
                 let len = view.lanes();
-                step_lanes_with(
+                step_lanes_mode(
                     params.narrow(start, len),
                     &voltages[start..start + len],
                     &mut view,
                     dt,
                     mode,
-                    level,
                 );
             });
         }
@@ -859,7 +793,7 @@ pub fn step_lanes_surrogate<'a, F>(
     for (lane, &v_cell) in voltages.iter().enumerate() {
         let lane_params = params.of(lane);
         if v_cell == 0.0 {
-            relax_lane(lane_params, lanes, lane, dt);
+            relax_lane(lane_params, lanes, lane);
             continue;
         }
         lanes.stress_time[lane] += dt.0;
@@ -1039,7 +973,7 @@ fn step_lane_inner(
     first_op.unwrap_or_else(OperatingPoint::zero)
 }
 
-/// One-entry cross-lane replay cache for the vector tier's biased lanes.
+/// One-entry cross-lane replay cache for the biased lanes of [`step_lanes_mode`].
 ///
 /// With shared `DeviceParams` and a fixed `(dt, mode)` per call, the whole
 /// effect of [`step_lane_inner`] on a lane is a pure function of the tuple
@@ -1064,9 +998,6 @@ struct LaneEcho {
     charge_end: f64,
     last_op: OperatingPoint,
     digital: DigitalState,
-    cache_v: u64,
-    cache_n: u64,
-    cache_op: OperatingPoint,
     /// Biased-lane steps routed through the cache during one kernel call
     /// (local tallies, flushed once per call — see [`flush_echo_telemetry`]).
     lookups: u64,
@@ -1087,9 +1018,6 @@ impl LaneEcho {
             charge_end: 0.0,
             last_op: OperatingPoint::zero(),
             digital: DigitalState::Hrs,
-            cache_v: 0,
-            cache_n: 0,
-            cache_op: OperatingPoint::zero(),
             lookups: 0,
             hits: 0,
         }
@@ -1132,11 +1060,14 @@ fn flush_echo_telemetry(echo: &LaneEcho) {
     lookups.add(echo.lookups);
 }
 
-/// [`step_lane_inner`] behind the [`LaneEcho`] replay cache (vector tier,
-/// shared params only). On a key hit every lane output is copied from the
+/// [`step_lane_inner`] behind the [`LaneEcho`] replay cache (shared params
+/// only). On a key hit every observable lane output is copied from the
 /// recorded outcome — bit-identical to re-running the integrator because
 /// the integrator is pure in the key; on a miss the lane is stepped
-/// normally and its outcome recorded.
+/// normally and its outcome recorded. A hit leaves the lane's
+/// operating-point cache alone: its entry still equals the solve at its own
+/// key bits, so it stays valid, and not writing it keeps the cache pages of
+/// lanes that only ever hit untouched.
 fn step_lane_echoed(
     params: &DeviceParams,
     lanes: &mut CellBankView<'_>,
@@ -1166,9 +1097,6 @@ fn step_lane_echoed(
         lanes.charge[lane] = echo.charge_end;
         lanes.last_op[lane] = echo.last_op;
         lanes.digital[lane] = echo.digital;
-        lanes.op_cache_v_bits[lane] = echo.cache_v;
-        lanes.op_cache_n_bits[lane] = echo.cache_n;
-        lanes.op_cache_op[lane] = echo.cache_op;
         return;
     }
     step_lane_inner(params, lanes, lane, v_cell, dt, mode, true);
@@ -1185,9 +1113,6 @@ fn step_lane_echoed(
         charge_end: lanes.charge[lane],
         last_op: lanes.last_op[lane],
         digital: lanes.digital[lane],
-        cache_v: lanes.op_cache_v_bits[lane],
-        cache_n: lanes.op_cache_n_bits[lane],
-        cache_op: lanes.op_cache_op[lane],
     };
 }
 

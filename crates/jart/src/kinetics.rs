@@ -106,9 +106,9 @@ pub fn concentration_rate(params: &DeviceParams, v_active: f64, temperature: f64
 ///
 /// The `Exact` mode is bit-identical to [`concentration_rate`]. The `Fast`
 /// mode fuses the Arrhenius and field factors through the identity
-/// `exp(a)·sinh(f) = ½·(exp(a+f) − exp(a−f))` — one [`crate::fastmath::exp_pair`]
-/// instead of an `exp` plus a `sinh` — which is also where the SIMD build
-/// vectorises the pair. The overflow guard mirrors the exact path: a field
+/// `exp(a)·sinh(f) = ½·(exp(a+f) − exp(a−f))` — two [`crate::fastmath::exp`]
+/// calls instead of an `exp` plus a `sinh`. The overflow guard mirrors the
+/// exact path: a field
 /// argument beyond 700 substitutes `f64::MAX` for the sinh (here scaled by
 /// the fast `exp(a)`).
 pub fn concentration_rate_mode(
@@ -164,7 +164,8 @@ pub fn concentration_rate_mode(
             let arrhenius_times_field = if field_arg > 700.0 {
                 crate::fastmath::exp(a) * f64::MAX
             } else {
-                let (grow, decay) = crate::fastmath::exp_pair(a + field_arg, a - field_arg);
+                let grow = crate::fastmath::exp(a + field_arg);
+                let decay = crate::fastmath::exp(a - field_arg);
                 0.5 * (grow - decay)
             };
             k0 * arrhenius_times_field * window(params, n, direction)
@@ -332,7 +333,8 @@ mod tests {
 
     #[test]
     fn victim_regime_rates_bracket_the_attack_window() {
-        // Order-of-magnitude calibration check (see DESIGN.md): under
+        // Order-of-magnitude calibration check (the regime the `params`
+        // module documents): under
         // half-select stress the rate at a crosstalk-heated ~355 K filament
         // must be 2–4 orders of magnitude faster than at 300 K.
         let params = p();

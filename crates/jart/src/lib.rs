@@ -52,16 +52,10 @@
 pub mod calibration;
 pub mod current;
 pub mod device;
-// The fastmath/simd modules carry the only unsafe in the crate: `std::arch`
-// intrinsics behind the `simd` feature, each call dominated by the runtime
-// CPU detection in `simd::detected`.
-#[allow(unsafe_code)]
 pub mod fastmath;
 pub mod kernel;
 pub mod kinetics;
 pub mod params;
-#[allow(unsafe_code)]
-pub mod simd;
 pub mod thermal;
 
 pub use current::OperatingPoint;

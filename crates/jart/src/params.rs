@@ -1,8 +1,8 @@
 //! Parameters of the VCM compact model, with validation and a builder.
 //!
-//! The default parameter set is calibrated (see `calibration` and
-//! `DESIGN.md`) so that the device operates in the regime the paper
-//! describes:
+//! The default parameter set is calibrated (see [`crate::calibration`] and
+//! the `calibrate_sweep` example) so that the device operates in the regime
+//! the paper describes:
 //!
 //! * nominal SET at `V_SET = 1.05 V` and 300 K ambient completes in well under
 //!   a microsecond,

@@ -2,11 +2,15 @@
 //! [`CellBank`] through the batched kernel is *bit-identical* to stepping N
 //! independent [`JartDevice`]s, for any mix of states, crosstalk imports,
 //! voltages and step lengths. This is what lets the batched crossbar engine
-//! share one integration routine with the scalar engine.
+//! share one integration routine with the scalar engine — including the
+//! kernel's replay caches, which must never change a result bit.
 
 use proptest::prelude::*;
-use rram_jart::kernel::{step_lane, step_lanes, step_lanes_threaded, CellBank, LANE_CHUNK};
-use rram_jart::{DeviceParams, JartDevice};
+use rram_jart::kernel::{
+    step_lane, step_lane_mode, step_lanes, step_lanes_mode, step_lanes_threaded, CellBank,
+    LaneParams, LANE_CHUNK,
+};
+use rram_jart::{DeviceParams, JartDevice, MathMode};
 use rram_units::{Kelvin, Seconds, Volts};
 
 /// A per-lane parameter set scaled from the nominal one: the kind of
@@ -275,5 +279,90 @@ proptest! {
             }
         }
         assert_banks_identical(&threaded, &reference)?;
+    }
+
+    /// The cached kernel — operating-point cache plus the cross-lane
+    /// `LaneEcho` replay — is bit-identical to the uncached per-lane
+    /// `step_lane_mode` reference over several sub-steps. Lanes are drawn
+    /// from a small pool of `(state, ΔT, v)` tuples so identical lanes sit
+    /// next to each other and echo hits really happen (lanes 0 and 1 always
+    /// share pool entry 0 and stay identical, so every biased step of a
+    /// shared-params bank replays at least once); the schedule changes the
+    /// voltages between steps and inserts exact-zero gaps, which exercises
+    /// cache hits, misses after a bias change, and the relax paths. Shared
+    /// and per-lane tables, exact and fast math.
+    #[test]
+    fn cached_kernel_matches_the_uncached_reference_across_steps(
+        // Pool entry: (initial state, crosstalk ΔT, |v|, negative bias).
+        pool in prop::collection::vec(
+            (0.0f64..1.0, 0.0f64..80.0, 0.3f64..1.5, any::<bool>()),
+            1..4,
+        ),
+        // Per lane: (pool pick, exact-zero flag).
+        picks in prop::collection::vec((0usize..4, any::<bool>()), 0..(5 * LANE_CHUNK)),
+        // Device spread per pool entry, for the per-lane table.
+        scales in prop::collection::vec((0.7f64..1.3, 0.7f64..1.3), 4..5),
+        // Per step: (dt, 0 = pool voltages / 1 = halved voltages / 2 = all-zero gap).
+        steps in prop::collection::vec((1e-10f64..5e-7, 0usize..3), 1..6),
+        per_lane in any::<bool>(),
+        fast in any::<bool>(),
+    ) {
+        let mode = if fast { MathMode::Fast } else { MathMode::Exact };
+        let nominal = DeviceParams::default();
+        let lane_picks: Vec<(usize, bool)> = [(0, false), (0, false)]
+            .into_iter()
+            .chain(picks.iter().map(|&(pick, zero)| (pick % pool.len(), zero)))
+            .collect();
+        let table: Vec<DeviceParams> = lane_picks
+            .iter()
+            .map(|&(pick, _)| spread_params(scales[pick].0, scales[pick].1))
+            .collect();
+        let params = if per_lane {
+            LaneParams::PerLane(&table)
+        } else {
+            LaneParams::Shared(&nominal)
+        };
+        let mut cached = CellBank::new(lane_picks.len(), &nominal);
+        let mut biased = Vec::with_capacity(lane_picks.len());
+        for (lane, &(pick, zero)) in lane_picks.iter().enumerate() {
+            let (state, delta, magnitude, negative) = pool[pick];
+            let lane_params = params.of(lane);
+            let n = lane_params.n_min + state * (lane_params.n_max - lane_params.n_min);
+            cached.force_concentration(lane, n, lane_params);
+            cached.set_crosstalk(lane, delta);
+            let v = if negative { -magnitude } else { magnitude };
+            biased.push(if zero { 0.0 } else { v });
+        }
+        let mut reference = cached.clone();
+        let echo_hits = || {
+            rram_telemetry::Registry::global()
+                .counter(
+                    "kernel_echo_hits_total",
+                    "Biased lane steps replayed from the cross-lane echo cache",
+                )
+                .value()
+        };
+        let hits_before = echo_hits();
+
+        for &(dt, kind) in &steps {
+            let voltages: Vec<f64> = match kind {
+                0 => biased.clone(),
+                1 => biased.iter().map(|v| 0.5 * v).collect(),
+                _ => vec![0.0; biased.len()],
+            };
+            step_lanes_mode(params, &voltages, &mut cached.view_mut(), Seconds(dt), mode);
+            for (lane, &v_cell) in voltages.iter().enumerate() {
+                step_lane_mode(
+                    params.of(lane), &mut reference.view_mut(), lane, v_cell, Seconds(dt), mode,
+                );
+            }
+            assert_banks_identical(&cached, &reference)?;
+            for lane in 0..cached.lanes() {
+                prop_assert_eq!(cached.operating_point(lane), reference.operating_point(lane));
+            }
+        }
+        if !per_lane && steps.iter().any(|&(_, kind)| kind != 2) {
+            prop_assert!(echo_hits() > hits_before, "no echo hit on duplicate biased lanes");
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! Qualitative reproduction checks of the paper's evaluation figures, using
 //! the quick experiment setup so the whole file runs in tens of seconds.
 //!
-//! The absolute pulse counts differ from the paper (different compact-model
-//! calibration, see EXPERIMENTS.md); these tests pin down the *shapes*:
+//! The absolute pulse counts differ from the paper (the compact model is a
+//! JART substitute calibrated in `rram_jart::params`, not the paper's
+//! parameter set); these tests pin down the *shapes*:
 //! the direction of every trend and rough effect sizes.
 
 use neurohammer_repro::attack::{
